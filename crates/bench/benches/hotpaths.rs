@@ -1,10 +1,12 @@
 //! Criterion micro-benchmarks of the workspace's hot paths: max–min
-//! allocation, feature extraction, GBDT training/prediction, MIC, and the
-//! simulator event loop.
+//! allocation, feature extraction, GBDT training/prediction, MIC, the
+//! simulator event loop, and model-artifact loading.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use wdt_features::extract_features;
 use wdt_ml::{mic, Gbdt, GbdtParams, NodeArrayForest, SplitStrategy};
+use wdt_model::{build_dataset, FitConfig, FittedModel, ModelKind};
+use wdt_serve::{ModelRegistry, ServeSchema};
 use wdt_sim::{allocate, FlowDemand, SimConfig, Simulator};
 use wdt_types::{Bytes, EndpointId, SeedSeq, SimTime, TransferId, TransferRecord, TransferRequest};
 use wdt_workload::{ArrivalMix, FleetSpec, WorkloadSpec};
@@ -198,6 +200,38 @@ fn bench_single_transfer(c: &mut Criterion) {
     });
 }
 
+/// The model-artifact load path: parsing a persisted default-parameter
+/// GBDT (what a registry open pays) and a registry swap to a new version
+/// of it (what `POST /reload` pays on the serving thread).
+fn bench_artifact_load(c: &mut Criterion) {
+    let mut g = c.benchmark_group("artifact_load");
+    g.sample_size(10);
+    let data = build_dataset(&extract_features(&synth_records(4_000)), false);
+    let model = FittedModel::fit(&data, ModelKind::Gbdt, &FitConfig::default()).expect("fit");
+    let artifact = model.to_json();
+    g.bench_function(format!("from_json/{}kB", artifact.len() / 1000), |b| {
+        b.iter(|| FittedModel::from_json(&artifact).expect("parse own artifact"))
+    });
+    let dir = std::env::temp_dir().join(format!("wdt-bench-artifact-load-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create artifact dir");
+    std::fs::write(dir.join("v000001.json"), &artifact).expect("write artifact");
+    let next = dir.join("v000002.json");
+    g.bench_function("registry_reload", |b| {
+        b.iter_batched(
+            || {
+                let _ = std::fs::remove_file(&next);
+                let registry = ModelRegistry::open(&dir, ServeSchema::prediction()).expect("open");
+                std::fs::write(&next, &artifact).expect("write artifact");
+                registry
+            },
+            |registry| registry.reload().expect("reload"),
+            BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 criterion_group!(
     benches,
     bench_alloc,
@@ -207,6 +241,7 @@ criterion_group!(
     bench_gbdt_predict_nodearray,
     bench_mic,
     bench_simulator,
-    bench_single_transfer
+    bench_single_transfer,
+    bench_artifact_load
 );
 criterion_main!(benches);

@@ -278,7 +278,7 @@ impl RetrainDriver {
         };
         if self.stale.is_none() {
             // Freeze a copy of the first model as the stale baseline.
-            self.stale = FittedModel::from_json(&model.to_json()).ok();
+            self.stale = Some(model.clone());
         }
         self.current = Some(model);
         self.since_fit = 0;

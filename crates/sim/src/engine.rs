@@ -251,6 +251,10 @@ pub struct Simulator {
     stats: SimStats,
 }
 
+/// A running flow with at most this many bytes left is complete: byte
+/// counters are `f64`, so `remaining` rarely reaches exactly zero.
+const DONE_BYTES: f64 = 0.5;
+
 /// Resources per endpoint in the capacity vector.
 const RES_PER_EP: usize = 5;
 const R_DISK_READ: usize = 0;
@@ -674,12 +678,23 @@ impl Simulator {
         self.now = t;
     }
 
-    /// Earliest projected completion among running flows.
+    /// Earliest projected completion among running flows, strictly after
+    /// `now` for any flow that is not yet harvestable.
     fn next_completion(&self) -> Option<SimTime> {
+        let now = self.now.as_secs();
         let mut best: Option<f64> = None;
         for f in self.flows.iter().flatten() {
             if f.state == FlowState::Running && f.rate > 0.0 {
-                let t = self.now.as_secs() + f.remaining / f.rate;
+                let mut t = now + f.remaining / f.rate;
+                if t == now && f.remaining > DONE_BYTES {
+                    // `remaining / rate` is at most half an ulp of `now`,
+                    // so the projection rounds to the current instant and
+                    // advancing there would move no bytes: the run loop
+                    // would spin forever. The next representable instant
+                    // is a whole ulp away, past the true completion, so
+                    // stepping there drains the flow.
+                    t = f64::from_bits(now.to_bits() + 1);
+                }
                 best = Some(best.map_or(t, |b: f64| b.min(t)));
             }
         }
@@ -697,7 +712,7 @@ impl Simulator {
         for slot in 0..self.flows.len() {
             let done = matches!(
                 &self.flows[slot],
-                Some(f) if f.state == FlowState::Running && f.remaining <= 0.5
+                Some(f) if f.state == FlowState::Running && f.remaining <= DONE_BYTES
             );
             if done {
                 // Completion only happens from Running, so both the stream
@@ -707,10 +722,10 @@ impl Simulator {
                 if crate::check::enabled() {
                     // Byte conservation: the independently accumulated
                     // `moved` counter must account for the whole request
-                    // (up to the 0.5-byte completion threshold).
+                    // (up to the `DONE_BYTES` completion threshold).
                     self.stats.invariant_checks += 1;
                     let bytes = f.req.bytes.as_f64();
-                    let slack = 0.5 + 1e-9 * bytes;
+                    let slack = DONE_BYTES + 1e-9 * bytes;
                     if (f.moved - bytes).abs() > slack {
                         crate::check::enforce(
                             &format!("completion of transfer {} @ t={}", f.req.id.0, self.now),
@@ -1461,6 +1476,40 @@ mod tests {
         assert!(out.stats.realloc_time_s >= 0.0);
         assert_eq!(out.stats.max_queue_depth, 0, "single transfer never queues");
         assert!(out.stats.summary().contains("events"));
+    }
+
+    /// The state a 30-day seed-7 campaign reaches at t ≈ 2,105,649.76 s: a
+    /// running flow with more than `DONE_BYTES` left whose `remaining /
+    /// rate` is under half an ulp of `now`. Its projected completion must
+    /// still lie strictly ahead, and one loop step must drain and harvest
+    /// it with every byte accounted for.
+    #[test]
+    fn completion_rounding_to_now_still_advances_the_clock() {
+        let mut sim = Simulator::new(two_endpoints(), SimConfig::testbed(), &SeedSeq::new(1));
+        let r = req(0, 0.0, 1.0, 1, 4, 4);
+        let bytes = r.bytes.as_f64();
+        sim.claim_slots(&r);
+        sim.start_flow(r, TransferMode::DiskToDisk);
+        sim.now = SimTime::seconds(2_105_649.76);
+        let left = 3.0;
+        let f = sim.flows[0].as_mut().expect("started");
+        f.state = FlowState::Running;
+        f.rate = 2.0e10;
+        f.remaining = left;
+        f.moved = bytes - left;
+        sim.census_streams(0, 1);
+        let now = sim.now.as_secs();
+        assert_eq!(now + left / 2.0e10, now, "the state must be degenerate");
+
+        let next = sim.next_completion().expect("one running flow");
+        assert!(next > sim.now, "clock must advance past {now}");
+        sim.advance_to(next);
+        let f = sim.flows[0].as_ref().expect("not yet harvested");
+        assert_eq!(f.remaining, 0.0);
+        assert_eq!(f.moved, bytes);
+        sim.harvest_completions();
+        assert_eq!(sim.completed, 1);
+        assert_eq!(sim.records[0].end, next);
     }
 
     #[test]

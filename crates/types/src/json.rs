@@ -399,12 +399,19 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&b[*pos..])
+                // Copy the whole run up to the next quote or backslash in
+                // one step. Both delimiters are ASCII, so the run ends on
+                // a char boundary; validating only the run keeps the parse
+                // linear in the document length.
+                let start = *pos;
+                let end = b[start..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |i| start + i);
+                let run = std::str::from_utf8(&b[start..end])
                     .map_err(|_| JsonError::new("invalid utf8 in string"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -510,6 +517,14 @@ mod tests {
     }
 
     #[test]
+    fn truncated_string_reports_unterminated() {
+        for text in ["\"", "\"abc", "\"café ☃", "\"ends after escape \\n", "{\"k\": \"v"] {
+            let err = JsonValue::parse(text).unwrap_err();
+            assert_eq!(err, JsonError::new("unterminated string"), "{text:?}");
+        }
+    }
+
+    #[test]
     fn depth_limit_rejects_hostile_nesting() {
         // One past the limit errors; an abort/stack overflow would fail
         // the whole test binary, which is exactly what this guards.
@@ -591,8 +606,129 @@ mod proptests {
         .boxed()
     }
 
+    /// Any Unicode scalar, weighted so every UTF-8 width, the raw control
+    /// characters and the two string delimiters all turn up often.
+    fn arb_scalar() -> BoxedStrategy<char> {
+        prop_oneof![
+            Just('"' as u32),
+            Just('\\' as u32),
+            0u32..0x20,
+            0x20u32..0x80,
+            0x80u32..0x800,
+            0x800u32..0x1_0000,
+            0x1_0000u32..0x11_0000,
+        ]
+        .prop_map(|c| char::from_u32(c).unwrap_or('\u{fffd}'))
+        .boxed()
+    }
+
+    /// One piece of a string literal's body: a raw run (possibly empty,
+    /// possibly holding raw control characters) or an escape, well formed
+    /// or not. Concatenating pieces puts escapes right at run boundaries
+    /// and back to back.
+    fn arb_piece() -> BoxedStrategy<String> {
+        let simple = ["\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t"];
+        prop_oneof![
+            vec(arb_scalar(), 0..6).prop_map(|cs| {
+                cs.into_iter().filter(|&c| c != '"' && c != '\\').collect::<String>()
+            }),
+            (0..simple.len()).prop_map(move |i| simple[i].to_string()),
+            (0u32..0x1_0000, 0u32..2).prop_map(|(c, upper)| {
+                if upper == 1 {
+                    format!("\\u{c:04X}")
+                } else {
+                    format!("\\u{c:04x}")
+                }
+            }),
+            (0..6usize).prop_map(|i| {
+                ["\\q", "\\é", "\\u12G4", "\\u+041", "\\u00é", "\\ud800"][i].to_string()
+            }),
+        ]
+        .boxed()
+    }
+
+    /// A literal: opening quote, pieces, then a closing quote followed by
+    /// trailing text, or a cut at an arbitrary char boundary.
+    fn arb_literal() -> BoxedStrategy<String> {
+        (vec(arb_piece(), 0..8), 0u32..3, 0usize..64)
+            .prop_map(|(pieces, end, cut)| {
+                let body: String = pieces.concat();
+                match end {
+                    0 => format!("\"{body}\""),
+                    1 => format!("\"{body}\", \"tail\\q"),
+                    _ => std::iter::once('"').chain(body.chars().take(cut)).collect(),
+                }
+            })
+            .boxed()
+    }
+
+    /// Char-by-char reference for `parse_string`: decodes the literal at
+    /// the start of `text` and returns it with the byte length consumed,
+    /// or the error message the parser must give.
+    fn reference_decode(text: &str) -> Result<(String, usize), String> {
+        let mut chars = text.char_indices();
+        if chars.next().map(|(_, c)| c) != Some('"') {
+            return Err("expected '\"' at byte 0".into());
+        }
+        let mut out = String::new();
+        loop {
+            let Some((i, c)) = chars.next() else {
+                return Err("unterminated string".into());
+            };
+            match c {
+                '"' => return Ok((out, i + 1)),
+                '\\' => match chars.next().map(|(_, e)| e) {
+                    Some('"') => out.push('"'),
+                    Some('\\') => out.push('\\'),
+                    Some('/') => out.push('/'),
+                    Some('b') => out.push('\u{8}'),
+                    Some('f') => out.push('\u{c}'),
+                    Some('n') => out.push('\n'),
+                    Some('r') => out.push('\r'),
+                    Some('t') => out.push('\t'),
+                    Some('u') => {
+                        if i + 6 > text.len() {
+                            return Err("truncated \\u escape".into());
+                        }
+                        let hex = text.get(i + 2..i + 6).ok_or("invalid \\u escape")?;
+                        let code =
+                            u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape")?;
+                        out.push(char::from_u32(code).ok_or("invalid \\u codepoint")?);
+                        // The four accepted bytes are ASCII: four chars.
+                        chars.nth(3);
+                    }
+                    _ => return Err("invalid escape".into()),
+                },
+                c => out.push(c),
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The run-copying string decoder agrees with the char-by-char
+        /// reference on value, bytes consumed and error message, for well
+        /// formed and malformed literals alike.
+        #[test]
+        fn string_decoding_matches_reference(text in arb_literal()) {
+            let mut pos = 0;
+            let got = parse_string(text.as_bytes(), &mut pos)
+                .map(|s| (s, pos))
+                .map_err(|e| e.msg);
+            prop_assert_eq!(got, reference_decode(&text), "literal {:?}", text);
+        }
+
+        /// Any Unicode string survives write → parse, and the reference
+        /// decodes the writer's spelling to the same string.
+        #[test]
+        fn unicode_strings_round_trip(cs in vec(arb_scalar(), 0..24)) {
+            let s: String = cs.into_iter().collect();
+            let text = JsonValue::Str(s.clone()).to_string();
+            let back = JsonValue::parse(&text).expect("reparse own output");
+            prop_assert_eq!(back.as_str().unwrap(), s.as_str());
+            prop_assert_eq!(reference_decode(&text), Ok((s, text.len())));
+        }
 
         /// write → parse is the identity on any finite document, including
         /// escape-heavy strings, unicode, extreme numbers, and nesting.
