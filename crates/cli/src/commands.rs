@@ -97,8 +97,7 @@ pub fn usage() -> String {
      advise    concurrency-cap advice for an endpoint (Figure 4 analysis)\n\
                --log FILE --endpoint N\n\
      serve     online rate-prediction service (HTTP, micro-batched)\n\
-               --model-dir DIR [--port N=8191] [--workers N=8]\n\
-               [--frontend threaded|eventloop=eventloop] [--acceptors N=2]\n\
+               --model-dir DIR [--port N=8191] [--acceptors N=2]\n\
                [--deadline-ms N=5000] [--max-batch N=64] [--flush-us N=100]\n\
                [--queue-cap N=1024] [--explain-top N=5] [--cores LIST]\n\
                (endpoints: POST /predict, POST /explain for a prediction\n\
@@ -106,10 +105,9 @@ pub fn usage() -> String {
                 N largest), GET /healthz, GET /metrics, GET /metrics.prom\n\
                 for Prometheus text, GET /alerts for the alert ring,\n\
                 POST /reload to hot-swap to the newest model in DIR,\n\
-                POST /shutdown for a graceful stop. The eventloop front\n\
-                end multiplexes all connections over --acceptors poller\n\
-                threads; threaded uses --workers blocking threads, one\n\
-                connection each. --deadline-ms answers 408 to requests\n\
+                POST /shutdown for a graceful stop. A poll(2) event loop\n\
+                multiplexes all connections over --acceptors poller\n\
+                threads. --deadline-ms answers 408 to requests\n\
                 that stall mid-delivery. --cores pins the process to a\n\
                 CPU list like 0-3,6 — Linux only, for the multi-core\n\
                 bench protocol in EXPERIMENTS.md)\n\
@@ -1101,8 +1099,6 @@ fn serve(args: &Args) -> CmdResult {
     args.ensure_known(&[
         "model-dir",
         "port",
-        "workers",
-        "frontend",
         "acceptors",
         "deadline-ms",
         "max-batch",
@@ -1113,18 +1109,16 @@ fn serve(args: &Args) -> CmdResult {
     ])?;
     apply_cores(args)?;
     let dir = args.require("model-dir")?.to_string();
-    let frontend = match args.get("frontend").unwrap_or("eventloop") {
-        "threaded" => Frontend::Threaded,
-        "eventloop" => Frontend::EventLoop,
-        other => return Err(format!("unknown --frontend '{other}' (threaded|eventloop)").into()),
-    };
+    let max_batch = args.get_or("max-batch", 64)?;
+    if max_batch == 0 {
+        return Err("--max-batch must be at least 1".into());
+    }
     let cfg = ServeConfig {
         port: args.get_or("port", 8191)?,
-        workers: args.get_or("workers", 8)?,
         acceptors: args.get_or("acceptors", 2)?,
         request_deadline: Duration::from_millis(args.get_or("deadline-ms", 5000u64)?),
         batch: BatchConfig {
-            max_batch: args.get_or("max-batch", 64)?,
+            max_batch,
             flush: Duration::from_micros(args.get_or("flush-us", 100u64)?),
             queue_cap: args.get_or("queue-cap", 1024)?,
             ..Default::default()
@@ -1132,16 +1126,12 @@ fn serve(args: &Args) -> CmdResult {
         explain_top: args.get_or("explain-top", 5usize)?,
     };
     let registry = Arc::new(ModelRegistry::open(dir, ServeSchema::prediction())?);
-    let server = AnyServer::start(registry, cfg, frontend)?;
+    let server = AnyServer::start(registry, cfg, Frontend::EventLoop)?;
     println!(
-        "serving model '{}' ({} versions on disk) at http://{} [{}]",
+        "serving model '{}' ({} versions on disk) at http://{}",
         server.registry().current().version,
         server.registry().versions()?.len(),
         server.addr(),
-        match frontend {
-            Frontend::Threaded => "threaded",
-            Frontend::EventLoop => "eventloop",
-        }
     );
     println!(
         "POST /predict | POST /explain | GET /healthz | GET /metrics[.prom] | GET /alerts | \
@@ -1836,6 +1826,9 @@ mod tests {
             "predict --log x.csv --modell m.json",
             "advise --log x.csv --end-point 3",
             "serve --model-dir m --prot 80",
+            // Serving has one front end, so nothing selects or sizes one.
+            "serve --model-dir m --frontend eventloop",
+            "serve --model-dir m --workers 8",
             "loadgen --addr 127.0.0.1:1 --log x.csv --connectoins 4",
             "obs --check-trase t.json",
             "ingest --from-csv x.csv --folow",
@@ -1853,6 +1846,14 @@ mod tests {
             let bad = cmd.split("--").last().unwrap().split_whitespace().next().unwrap();
             assert!(err.contains(&format!("--{bad}")), "{cmd} -> {err}");
         }
+    }
+
+    /// A zero batch size can never drain the inference queue; the flag
+    /// check fires before the model directory is even opened.
+    #[test]
+    fn serve_rejects_zero_max_batch() {
+        let err = run(&parse("serve --model-dir m --max-batch 0")).unwrap_err().to_string();
+        assert!(err.contains("--max-batch"), "{err}");
     }
 
     #[test]
@@ -2003,7 +2004,6 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("v1.json"), model.to_json()).unwrap();
         let registry = Arc::new(ModelRegistry::open(dir, ServeSchema::prediction()).unwrap());
-        // The event-loop front end is the default; exercise it here.
         let server =
             AnyServer::start(registry, ServeConfig::default(), Frontend::EventLoop).unwrap();
 

@@ -1,16 +1,17 @@
 //! Micro-batching inference engine with admission control.
 //!
-//! Concurrent HTTP workers each hold one prediction; tree traversal is
-//! cheapest when rows are pushed through the model together. The batcher
-//! bridges the two: [`Batcher::submit`] enqueues a row into a bounded
-//! queue and returns a receiver; dedicated batch workers drain up to
+//! The event loop's poller shards parse single predictions; tree
+//! traversal is cheapest when rows are pushed through the model
+//! together. The batcher bridges the two: [`Batcher::submit_with`]
+//! enqueues a row into a bounded queue together with its reply address
+//! (a [`ShardSink`]); dedicated batch workers drain up to
 //! [`BatchConfig::max_batch`] rows at a time — waiting at most
 //! [`BatchConfig::flush`] after the first row arrives so singles are not
 //! delayed indefinitely — run one `FittedModel::predict` over the whole
-//! batch, and fan results back out.
+//! batch, and hand each result back to the shard that asked for it.
 //!
 //! **Admission control:** when the queue already holds
-//! [`BatchConfig::queue_cap`] rows, `submit` fails *immediately* with
+//! [`BatchConfig::queue_cap`] rows, a submission fails *immediately* with
 //! [`SubmitError::Overloaded`]. The front end turns that into an explicit
 //! 503 so an overloaded service sheds work in bounded time instead of
 //! stacking latency until clients time out.
@@ -20,10 +21,10 @@
 //! rows, never their arithmetic, so results are bitwise identical to
 //! offline single-row prediction.
 
+use crate::eventloop::ShardSink;
 use crate::metrics::ServerMetrics;
 use crate::registry::{LoadedModel, ModelRegistry};
 use std::collections::VecDeque;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -31,7 +32,7 @@ use std::time::{Duration, Instant};
 /// Batching knobs.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Largest batch one worker executes at once.
+    /// Largest batch one worker executes at once (0 is treated as 1).
     pub max_batch: usize,
     /// How long a partially-filled batch may wait for company.
     pub flush: Duration,
@@ -113,34 +114,14 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Where a finished prediction goes. Blocking workers park on a channel;
-/// the event loop attaches a plain-data completion address
-/// ([`crate::eventloop::ShardSink`] — no boxed closure, no allocation)
-/// that enqueues the prediction for the poller, so no event-loop thread
-/// ever blocks on inference. Delivery hands the row vector back too, so
-/// the event loop can recycle it through its row pool.
-pub enum ReplySink {
-    Channel(SyncSender<Prediction>),
-    Shard(crate::eventloop::ShardSink),
-}
-
-impl ReplySink {
-    fn deliver(self, p: Prediction, row: Vec<f64>) {
-        match self {
-            // A dropped receiver (client hung up) is not an error. The
-            // blocking path has no row pool; the vector just drops.
-            ReplySink::Channel(tx) => {
-                let _ = tx.send(p);
-            }
-            ReplySink::Shard(sink) => sink.deliver(p, row),
-        }
-    }
-}
-
 struct Job {
     row: Vec<f64>,
     enqueued: Instant,
-    reply: ReplySink,
+    /// Where the finished prediction goes: a plain-data address of the
+    /// poller shard that owns the connection, so no event-loop thread
+    /// ever blocks on inference. Delivery hands the row vector back too,
+    /// so the shard can recycle it through its row pool.
+    reply: ShardSink,
     /// `Some(buffer)` marks an `/explain` submission: the batch worker
     /// fills the buffer with per-feature contributions. The vector is
     /// caller-supplied so the event loop can recycle it through a pool.
@@ -171,12 +152,15 @@ pub struct Batcher {
 }
 
 impl Batcher {
-    /// Start `cfg.workers` batch threads over `registry`.
+    /// Start `cfg.workers` batch threads over `registry`. Both
+    /// `workers` and `max_batch` are clamped to at least 1: a batch of
+    /// zero rows would never drain the queue.
     pub fn start(
         registry: Arc<ModelRegistry>,
         metrics: Arc<ServerMetrics>,
         cfg: BatchConfig,
     ) -> Arc<Batcher> {
+        let cfg = BatchConfig { max_batch: cfg.max_batch.max(1), ..cfg };
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
@@ -200,31 +184,17 @@ impl Batcher {
         Arc::new(Batcher { shared, workers: Mutex::new(workers) })
     }
 
-    /// Enqueue one row (serving-schema layout). Non-blocking: either the
-    /// row is admitted and the returned receiver will yield exactly one
-    /// [`Prediction`], or the queue is full / shutting down.
-    pub fn submit(&self, row: Vec<f64>) -> Result<Receiver<Prediction>, SubmitError> {
-        let (reply, rx) = sync_channel(1);
-        self.submit_with(row, None, ReplySink::Channel(reply))?;
-        Ok(rx)
-    }
-
-    /// Enqueue one row whose reply carries an [`Explanation`].
-    pub fn submit_explain(&self, row: Vec<f64>) -> Result<Receiver<Prediction>, SubmitError> {
-        let (reply, rx) = sync_channel(1);
-        self.submit_with(row, Some(Vec::new()), ReplySink::Channel(reply))?;
-        Ok(rx)
-    }
-
-    /// Enqueue one row with an explicit reply sink. Every admitted sink
-    /// is delivered exactly once, even across shutdown (the drain in
-    /// [`Batcher::shutdown`] finishes the queue before workers exit).
-    /// `explain: Some(buffer)` requests per-feature attributions.
+    /// Enqueue one row (serving-schema layout) with its reply address.
+    /// Non-blocking: either the row is admitted and `reply` is delivered
+    /// exactly once, even across shutdown (the drain in
+    /// [`Batcher::shutdown`] finishes the queue before workers exit), or
+    /// the queue is full / shutting down. `explain: Some(buffer)`
+    /// requests per-feature attributions.
     pub fn submit_with(
         &self,
         row: Vec<f64>,
         explain: Option<Vec<f64>>,
-        reply: ReplySink,
+        reply: ShardSink,
     ) -> Result<(), SubmitError> {
         let notify = {
             let mut q = self.shared.queue.lock().expect("batch queue poisoned");
@@ -298,7 +268,7 @@ fn batch_loop(shared: &Shared) {
     let cfg = &shared.cfg;
     let mut batch: Vec<Job> = Vec::new();
     let mut rows: Vec<Vec<f64>> = Vec::new();
-    let mut replies: Vec<(Instant, ReplySink, Option<Vec<f64>>)> = Vec::new();
+    let mut replies: Vec<(Instant, ShardSink, Option<Vec<f64>>)> = Vec::new();
     let mut rates: Vec<f64> = Vec::new();
     let mut scratch = wdt_model::PredictScratch::default();
     let mut explain_scratch = wdt_model::PredictScratch::default();
@@ -394,6 +364,7 @@ fn batch_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eventloop::ShardShared;
     use crate::registry::{ModelRegistry, ServeSchema};
     use wdt_features::Dataset;
     use wdt_model::{FitConfig, FittedModel, ModelKind};
@@ -418,23 +389,39 @@ mod tests {
         (Arc::new(ModelRegistry::open(dir, schema).unwrap()), offline)
     }
 
+    /// Submit `row` addressed to sequence number `seq` on `shard`.
+    fn submit(
+        batcher: &Batcher,
+        shard: &Arc<ShardShared>,
+        seq: u64,
+        row: Vec<f64>,
+        explain: bool,
+    ) -> Result<(), SubmitError> {
+        batcher.submit_with(row, explain.then(Vec::new), shard.sink(seq))
+    }
+
     #[test]
     fn batched_predictions_match_offline_bitwise() {
         let (registry, offline) = test_registry("bitwise");
         let metrics = Arc::new(ServerMetrics::new());
         let batcher = Batcher::start(registry.clone(), metrics.clone(), BatchConfig::default());
+        let (shard, _wake) = ShardShared::new().expect("shard queue");
         let w = registry.schema().width();
 
         let rows: Vec<Vec<f64>> =
             (0..64).map(|i| (0..w).map(|j| ((i + j * 7) % 23) as f64 / 3.0).collect()).collect();
-        let handles: Vec<_> =
-            rows.iter().map(|row| batcher.submit(row.clone()).expect("admit")).collect();
-        for (row, rx) in rows.iter().zip(handles) {
-            let p = rx.recv().expect("reply");
+        for (seq, row) in rows.iter().enumerate() {
+            submit(&batcher, &shard, seq as u64, row.clone(), false).expect("admit");
+        }
+        let done = shard.wait_for(rows.len(), Duration::from_secs(5));
+        assert_eq!(done.len(), rows.len(), "every admitted row is answered once");
+        for (seq, p) in done {
+            let row = &rows[seq as usize];
             let expect = offline.predict_row(row);
             assert_eq!(p.rate.to_bits(), expect.to_bits(), "row {row:?}");
             assert_eq!(&*p.version, "v1");
             assert!(p.batch_size >= 1);
+            assert!(p.explain.is_none());
         }
         assert!(metrics.batch_size.count() >= 1);
         batcher.shutdown();
@@ -445,10 +432,13 @@ mod tests {
         let (registry, offline) = test_registry("explain");
         let metrics = Arc::new(ServerMetrics::new());
         let batcher = Batcher::start(registry.clone(), metrics, BatchConfig::default());
+        let (shard, _wake) = ShardShared::new().expect("shard queue");
         let w = registry.schema().width();
         for i in 0..8usize {
             let row: Vec<f64> = (0..w).map(|j| ((i + j * 5) % 13) as f64 / 2.0).collect();
-            let p = batcher.submit_explain(row.clone()).expect("admit").recv().expect("reply");
+            submit(&batcher, &shard, i as u64, row.clone(), true).expect("admit");
+            let done = shard.wait_for(1, Duration::from_secs(5));
+            let [(_, p)] = done.as_slice() else { panic!("row {i}: {} replies", done.len()) };
             let e = p.explain.as_ref().expect("explanation present");
             let fold = e.contributions.iter().fold(e.bias, |a, &c| a + c);
             assert_eq!(fold.to_bits(), p.rate.to_bits(), "row {i}: fold must hit the rate");
@@ -475,22 +465,22 @@ mod tests {
             workers: 1,
         };
         let batcher = Batcher::start(registry.clone(), metrics, cfg);
+        let (shard, _wake) = ShardShared::new().expect("shard queue");
         let w = registry.schema().width();
 
-        let mut admitted = Vec::new();
+        let mut admitted = 0usize;
         let mut shed = 0usize;
-        for _ in 0..32 {
-            match batcher.submit(vec![1.0; w]) {
-                Ok(rx) => admitted.push(rx),
+        for seq in 0..32 {
+            match submit(&batcher, &shard, seq, vec![1.0; w], false) {
+                Ok(()) => admitted += 1,
                 Err(SubmitError::Overloaded) => shed += 1,
                 Err(e) => panic!("unexpected {e}"),
             }
         }
         assert!(shed > 0, "expected overload shedding");
         // Every admitted request still completes.
-        for rx in admitted {
-            rx.recv_timeout(Duration::from_secs(5)).expect("admitted request must complete");
-        }
+        let done = shard.wait_for(admitted, Duration::from_secs(5));
+        assert_eq!(done.len(), admitted, "admitted requests must complete");
         batcher.shutdown();
     }
 
@@ -500,14 +490,42 @@ mod tests {
         let metrics = Arc::new(ServerMetrics::new());
         let cfg = BatchConfig { flush: Duration::from_millis(50), ..Default::default() };
         let batcher = Batcher::start(registry.clone(), metrics, cfg);
+        let (shard, _wake) = ShardShared::new().expect("shard queue");
         let w = registry.schema().width();
-        let handles: Vec<_> =
-            (0..16).map(|_| batcher.submit(vec![2.0; w]).expect("admit")).collect();
-        batcher.shutdown();
-        for rx in handles {
-            rx.recv_timeout(Duration::from_secs(1)).expect("drained reply");
+        for seq in 0..16 {
+            submit(&batcher, &shard, seq, vec![2.0; w], false).expect("admit");
         }
+        batcher.shutdown();
+        // Shutdown joined the workers, so every reply is already home.
+        assert_eq!(shard.wait_for(16, Duration::ZERO).len(), 16, "drained replies");
         // Post-shutdown submissions are refused.
-        assert_eq!(batcher.submit(vec![0.0; w]).err(), Some(SubmitError::ShuttingDown));
+        assert_eq!(
+            submit(&batcher, &shard, 16, vec![0.0; w], false).err(),
+            Some(SubmitError::ShuttingDown)
+        );
+    }
+
+    /// `max_batch: 0` is clamped to 1: admitted rows are answered and
+    /// shutdown returns. Unclamped, a worker would take empty batches off
+    /// a non-empty queue forever, and `shutdown` would join it forever.
+    #[test]
+    fn zero_max_batch_still_answers_and_shuts_down() {
+        let (registry, offline) = test_registry("zero-batch");
+        let metrics = Arc::new(ServerMetrics::new());
+        let cfg = BatchConfig { max_batch: 0, ..Default::default() };
+        let batcher = Batcher::start(registry.clone(), metrics, cfg);
+        let (shard, _wake) = ShardShared::new().expect("shard queue");
+        let w = registry.schema().width();
+        let row = vec![3.0; w];
+        for seq in 0..4 {
+            submit(&batcher, &shard, seq, row.clone(), false).expect("admit");
+        }
+        let done = shard.wait_for(4, Duration::from_secs(5));
+        assert_eq!(done.len(), 4, "rows admitted with max_batch 0 were never answered");
+        for (_, p) in done {
+            assert_eq!(p.rate.to_bits(), offline.predict_row(&row).to_bits());
+            assert_eq!(p.batch_size, 1);
+        }
+        batcher.shutdown();
     }
 }

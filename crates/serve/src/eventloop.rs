@@ -1,14 +1,32 @@
-//! Nonblocking readiness event-loop HTTP front end.
+//! The HTTP front end: a nonblocking readiness event loop.
 //!
-//! The threaded front end (`server.rs`) spends one OS thread per open
-//! connection; a thousand idle keep-alive clients cost a thousand parked
-//! threads. Here, `acceptors` poller shards each own a set of
-//! connections as plain state — a read buffer feeding the shared
+//! A thread-per-connection server spends one OS thread per open
+//! connection, so a thousand idle keep-alive clients would cost a
+//! thousand parked threads. Here, `acceptors` poller shards each own a
+//! set of connections as plain state — a read buffer feeding the
 //! incremental [`RequestParser`], a pending write buffer, and a few
 //! flags — and multiplex them over `poll(2)` (via `shim.rs`). An idle
 //! connection costs the bytes of its [`Conn`] struct and one pollfd
 //! entry, nothing else; thread count is fixed at startup regardless of
 //! connection count.
+//!
+//! ## Endpoints
+//!
+//! | Route | Meaning |
+//! |---|---|
+//! | `POST /predict` | body `{"<feature>": <num>, …}` → `{"rate", "version", "batch_size"}` |
+//! | `POST /explain` | same body → the prediction plus per-feature attributions |
+//! | `GET /healthz` | liveness + current model version |
+//! | `GET /metrics`, `GET /metrics.prom` | counters and latency/batch histograms (p50/p95/p99) |
+//! | `GET /alerts` | the process-wide alert ring |
+//! | `POST /reload` | rescan the model directory, hot-swap if newer |
+//! | `POST /shutdown` | begin graceful shutdown (used by tests/CI) |
+//!
+//! Feature maps may omit features (they default to 0.0 — the natural
+//! encoding for "no competing load observed") but may not name unknown
+//! features or carry non-finite values; both are 400s. Overload is an
+//! explicit 503 `{"error":"overloaded"}` from the batcher's admission
+//! control, never a stalled socket.
 //!
 //! ## Data flow
 //!
@@ -23,14 +41,13 @@
 //! yields a frame of byte ranges into the read buffer, `routes::route`
 //! reads method/path/body straight out of that window, and `/predict`
 //! rows are scanned into vectors recycled through a per-shard pool. Rows
-//! go to the batcher with a **plain-data** sink
-//! ([`crate::batcher::ReplySink::Shard`] — a [`ShardSink`] of five words,
-//! no boxed closure), so the poller never blocks on inference: the batch
-//! worker pushes the raw [`Prediction`] (plus the row, for the pool) onto
-//! the shard's completion queue and pokes the wake socket (a loopback
-//! `TcpStream` pair — `poll` can wait on sockets only, and the wake write
-//! is coalesced by an atomic flag so a busy shard is poked once per
-//! wakeup, not once per response).
+//! go to the batcher with a **plain-data** reply address (a
+//! [`ShardSink`] of five words, no boxed closure), so the poller never
+//! blocks on inference: the batch worker pushes the raw [`Prediction`]
+//! (plus the row, for the pool) onto the shard's completion queue and
+//! pokes the wake socket (a loopback `TcpStream` pair — `poll` can wait
+//! on sockets only, and the wake write is coalesced by an atomic flag so
+//! a busy shard is poked once per wakeup, not once per response).
 //!
 //! ## Coalesced writes
 //!
@@ -46,23 +63,30 @@
 //!
 //! ## Timeouts
 //!
-//! Two distinct clocks, same semantics as the blocking front end:
-//! the 200 ms poll tick bounds how stale the shutdown flag and deadline
-//! sweep can be (an *idle* connection just keeps sitting there, free);
-//! the per-request deadline starts at a request's first byte and answers
-//! **408** if the request is still incomplete when it expires. Slow
-//! clients who keep trickling bytes inside the deadline are served
-//! normally — the bug class this front end was built not to have.
+//! Two distinct clocks: the 200 ms poll tick bounds how stale the
+//! shutdown flag and deadline sweep can be (an *idle* connection just
+//! keeps sitting there, free); the per-request deadline
+//! ([`ServeConfig::request_deadline`]) starts at a request's first byte
+//! and answers **408** if the request is still incomplete when it
+//! expires. Slow clients who keep trickling bytes inside the deadline
+//! are served normally.
+//!
+//! ## Shutdown discipline
+//!
+//! [`AnyServer::shutdown`] (or `POST /shutdown`, or the CLI's signal
+//! handler) stops accepting first, lets every shard finish the requests
+//! already on its connections, then drains the batcher — so every
+//! admitted request is answered and the service never drops in-flight
+//! work.
 
-use crate::batcher::{Batcher, Prediction, ReplySink};
-use crate::http::{render_response_into, HttpError, RequestParser};
+use crate::batcher::{BatchConfig, Batcher, Prediction};
+use crate::http::{render_response_into, HttpError, RequestParser, DEFAULT_REQUEST_DEADLINE};
 use crate::metrics::ServerMetrics;
 use crate::registry::ModelRegistry;
 use crate::routes::{
     explain_body, prediction_body, protocol_error_response, route, submit_error_response, Body,
     Ctx, Routed, BODY_NON_FINITE,
 };
-use crate::server::{Frontend, ServeConfig, Server};
 use crate::shim::{poll_fds, writev_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -145,15 +169,50 @@ impl Waker {
 }
 
 /// State a shard shares with batch workers.
-struct ShardShared {
+pub(crate) struct ShardShared {
     completions: Mutex<Vec<Completion>>,
     waker: Waker,
 }
 
 impl ShardShared {
+    /// A fresh completion queue plus the read end of its wake socket,
+    /// which the owning shard polls.
+    pub(crate) fn new() -> std::io::Result<(Arc<ShardShared>, TcpStream)> {
+        let (wake_rx, wake_tx) = waker_pair()?;
+        let shared = Arc::new(ShardShared {
+            completions: Mutex::new(Vec::new()),
+            waker: Waker { tx: wake_tx, pending: AtomicBool::new(false) },
+        });
+        Ok((shared, wake_rx))
+    }
+
     fn complete(&self, c: Completion) {
         self.completions.lock().expect("completion queue").push(c);
         self.waker.wake();
+    }
+}
+
+#[cfg(test)]
+impl ShardShared {
+    /// A sink addressed to sequence number `seq` on this queue (batcher
+    /// unit tests drive the batcher without a poller shard).
+    pub(crate) fn sink(self: &Arc<Self>, seq: u64) -> ShardSink {
+        ShardSink { shared: self.clone(), token: 0, seq, close: false, started: Instant::now() }
+    }
+
+    /// Wait up to `timeout` for at least `n` completions, then take all
+    /// delivered so far as `(seq, prediction)` pairs in delivery order.
+    pub(crate) fn wait_for(&self, n: usize, timeout: Duration) -> Vec<(u64, Prediction)> {
+        let t0 = Instant::now();
+        loop {
+            {
+                let mut q = self.completions.lock().expect("completion queue");
+                if q.len() >= n || t0.elapsed() >= timeout {
+                    return q.drain(..).map(|c| (c.seq, c.pred)).collect();
+                }
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 }
 
@@ -280,8 +339,46 @@ fn stage(c: &mut Conn, seq: u64, pending: Pending, ctx: &Ctx, scratch: &mut Shar
     }
 }
 
-/// A running prediction service behind the event-loop front end.
-pub struct EventLoopServer {
+/// Which HTTP front end serves the sockets. The event loop is the only
+/// one; the enum stays so callers written against
+/// `AnyServer::start(registry, cfg, Frontend::EventLoop)` keep compiling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Frontend {
+    /// Sharded nonblocking readiness event loop.
+    EventLoop,
+}
+
+/// Front-end configuration.
+#[derive(Debug, Clone)]
+pub struct ServeConfig {
+    /// Port to bind on 127.0.0.1 (0 → ephemeral, see [`AnyServer::addr`]).
+    pub port: u16,
+    /// Acceptor/poller shards.
+    pub acceptors: usize,
+    /// Wall-clock budget for one request to arrive in full once its
+    /// first byte is seen; expiry answers 408.
+    pub request_deadline: Duration,
+    /// Micro-batching knobs.
+    pub batch: BatchConfig,
+    /// How many top-|contribution| features `/explain` names in its
+    /// `top` array (the full contribution vector is always included).
+    pub explain_top: usize,
+}
+
+impl Default for ServeConfig {
+    fn default() -> Self {
+        ServeConfig {
+            port: 0,
+            acceptors: 2,
+            request_deadline: DEFAULT_REQUEST_DEADLINE,
+            batch: BatchConfig::default(),
+            explain_top: 5,
+        }
+    }
+}
+
+/// A running prediction service; see the module docs.
+pub struct AnyServer {
     addr: SocketAddr,
     ctx: Arc<Ctx>,
     shards: Mutex<Vec<JoinHandle<()>>>,
@@ -289,14 +386,16 @@ pub struct EventLoopServer {
     reuseport: bool,
 }
 
-impl EventLoopServer {
+impl AnyServer {
     /// Bind and start `cfg.acceptors` poller shards. Each shard gets its
     /// own `SO_REUSEPORT` listener where the platform supports it; the
     /// fallback is one shared nonblocking listener all shards race.
     pub fn start(
         registry: Arc<ModelRegistry>,
         cfg: ServeConfig,
-    ) -> std::io::Result<Arc<EventLoopServer>> {
+        frontend: Frontend,
+    ) -> std::io::Result<AnyServer> {
+        let Frontend::EventLoop = frontend;
         let n_shards = cfg.acceptors.max(1);
         let (listeners, reuseport) = bind_listeners(cfg.port, n_shards)?;
         let addr = listeners[0].local_addr()?;
@@ -313,11 +412,7 @@ impl EventLoopServer {
         let mut shards = Vec::new();
         let mut shared = Vec::new();
         for (i, listener) in listeners.into_iter().enumerate() {
-            let (wake_rx, wake_tx) = waker_pair()?;
-            let sh = Arc::new(ShardShared {
-                completions: Mutex::new(Vec::new()),
-                waker: Waker { tx: wake_tx, pending: AtomicBool::new(false) },
-            });
+            let (sh, wake_rx) = ShardShared::new()?;
             shared.push(sh.clone());
             let ctx = ctx.clone();
             let deadline = cfg.request_deadline;
@@ -328,7 +423,7 @@ impl EventLoopServer {
                     .expect("spawn poller shard"),
             );
         }
-        Ok(Arc::new(EventLoopServer { addr, ctx, shards: Mutex::new(shards), shared, reuseport }))
+        Ok(AnyServer { addr, ctx, shards: Mutex::new(shards), shared, reuseport })
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -355,13 +450,6 @@ impl EventLoopServer {
     /// True once shutdown has been requested (API call or `POST /shutdown`).
     pub fn stopping(&self) -> bool {
         self.ctx.stopping.load(Ordering::SeqCst)
-    }
-
-    /// Block until shutdown is requested, polling `period`.
-    pub fn wait_until_stopping(&self, period: Duration) {
-        while !self.stopping() {
-            std::thread::sleep(period);
-        }
     }
 
     /// Graceful shutdown: stop accepting, let in-flight requests finish
@@ -403,68 +491,6 @@ fn bind_listeners(port: u16, n: usize) -> std::io::Result<(Vec<Arc<TcpListener>>
             l.set_nonblocking(true)?;
             let l = Arc::new(l);
             Ok((vec![l; n], false))
-        }
-    }
-}
-
-/// Either front end, behind one handle — CLI and tests pick at runtime.
-pub enum AnyServer {
-    Threaded(Arc<Server>),
-    EventLoop(Arc<EventLoopServer>),
-}
-
-impl AnyServer {
-    /// Start the configured front end.
-    pub fn start(
-        registry: Arc<ModelRegistry>,
-        cfg: ServeConfig,
-        frontend: Frontend,
-    ) -> std::io::Result<AnyServer> {
-        Ok(match frontend {
-            Frontend::Threaded => AnyServer::Threaded(Server::start(registry, cfg)?),
-            Frontend::EventLoop => AnyServer::EventLoop(EventLoopServer::start(registry, cfg)?),
-        })
-    }
-
-    pub fn addr(&self) -> SocketAddr {
-        match self {
-            AnyServer::Threaded(s) => s.addr(),
-            AnyServer::EventLoop(s) => s.addr(),
-        }
-    }
-
-    pub fn metrics(&self) -> &ServerMetrics {
-        match self {
-            AnyServer::Threaded(s) => s.metrics(),
-            AnyServer::EventLoop(s) => s.metrics(),
-        }
-    }
-
-    pub fn registry(&self) -> &ModelRegistry {
-        match self {
-            AnyServer::Threaded(s) => s.registry(),
-            AnyServer::EventLoop(s) => s.registry(),
-        }
-    }
-
-    pub fn stopping(&self) -> bool {
-        match self {
-            AnyServer::Threaded(s) => s.stopping(),
-            AnyServer::EventLoop(s) => s.stopping(),
-        }
-    }
-
-    pub fn wait_until_stopping(&self, period: Duration) {
-        match self {
-            AnyServer::Threaded(s) => s.wait_until_stopping(period),
-            AnyServer::EventLoop(s) => s.wait_until_stopping(period),
-        }
-    }
-
-    pub fn shutdown(&self) {
-        match self {
-            AnyServer::Threaded(s) => s.shutdown(),
-            AnyServer::EventLoop(s) => s.shutdown(),
         }
     }
 }
@@ -697,13 +723,11 @@ fn shard_loop(
                 // The 408 takes the next sequence slot, so responses to
                 // requests that did arrive in time are written first.
                 c.read_closed = true;
-                if let Some((status, reason, body)) = protocol_error_response(&HttpError::Deadline)
-                {
-                    ctx.metrics.on_response(status);
-                    let seq = c.next_seq;
-                    c.next_seq += 1;
-                    stage(c, seq, Pending::Raw(status, reason, body, true), ctx, &mut scratch);
-                }
+                let (status, reason, body) = protocol_error_response(&HttpError::Deadline);
+                ctx.metrics.on_response(status);
+                let seq = c.next_seq;
+                c.next_seq += 1;
+                stage(c, seq, Pending::Raw(status, reason, body, true), ctx, &mut scratch);
                 flush_conn(c)
             };
             if finished {
@@ -832,13 +856,13 @@ fn process_requests(
                             Routed::Explain => Some(scratch.contrib_pool.pop().unwrap_or_default()),
                             _ => None,
                         };
-                        let sink = ReplySink::Shard(ShardSink {
+                        let sink = ShardSink {
                             shared: shared.clone(),
                             token: c.token,
                             seq,
                             close,
                             started: Instant::now(),
-                        });
+                        };
                         match ctx.batcher.submit_with(row, explain, sink) {
                             Ok(()) => c.in_flight += 1,
                             Err(e) => {
@@ -869,15 +893,11 @@ fn process_requests(
             }
             Err(e) => {
                 c.read_closed = true;
-                if let Some((status, reason, body)) = protocol_error_response(&e) {
-                    ctx.metrics.on_response(status);
-                    let seq = c.next_seq;
-                    c.next_seq += 1;
-                    stage(c, seq, Pending::Raw(status, reason, body, true), ctx, scratch);
-                } else if c.in_flight == 0 && c.stash.is_empty() {
-                    // Nothing pending and nothing to answer: drop now.
-                    c.close_after_write = true;
-                }
+                let (status, reason, body) = protocol_error_response(&e);
+                ctx.metrics.on_response(status);
+                let seq = c.next_seq;
+                c.next_seq += 1;
+                stage(c, seq, Pending::Raw(status, reason, body, true), ctx, scratch);
                 return;
             }
         }
@@ -905,4 +925,175 @@ fn flush_conn(c: &mut Conn) -> bool {
     // Out buffer drained: close if asked, or if the peer can no longer
     // send anything and nothing is pending.
     c.close_after_write || (c.read_closed && c.idle())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::HttpClient;
+    use crate::registry::ServeSchema;
+    use wdt_features::Dataset;
+    use wdt_model::{FitConfig, FittedModel, ModelKind};
+    use wdt_types::JsonValue;
+
+    fn start_test_server(name: &str) -> (AnyServer, FittedModel) {
+        let dir = std::env::temp_dir().join("wdt-eventloop-tests").join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let schema = ServeSchema::prediction();
+        let w = schema.width();
+        let x: Vec<Vec<f64>> =
+            (0..150).map(|i| (0..w).map(|j| ((i * (j + 2)) % 19) as f64).collect()).collect();
+        let y: Vec<f64> = x.iter().map(|r| 2.0 * r[0] + r[3] * r[3]).collect();
+        let model = FittedModel::fit(
+            &Dataset::new(schema.names().to_vec(), x, y),
+            ModelKind::Gbdt,
+            &FitConfig::default(),
+        )
+        .unwrap();
+        std::fs::write(dir.join("v1.json"), model.to_json()).unwrap();
+        let offline = FittedModel::from_json(&model.to_json()).unwrap();
+        let registry = Arc::new(ModelRegistry::open(dir, schema).unwrap());
+        let server = AnyServer::start(registry, ServeConfig::default(), Frontend::EventLoop);
+        (server.unwrap(), offline)
+    }
+
+    #[test]
+    fn healthz_metrics_and_predict_routes() {
+        let (server, offline) = start_test_server("routes");
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+
+        let (status, body) = client.get("/healthz").unwrap();
+        assert_eq!(status, 200);
+        let v = JsonValue::parse(&body).unwrap();
+        assert_eq!(v.field("version").unwrap().as_str().unwrap(), "v1");
+
+        let names = server.registry().schema().names().to_vec();
+        let features = JsonValue::Obj(
+            names.iter().enumerate().map(|(i, n)| (n.clone(), JsonValue::Num(i as f64))).collect(),
+        );
+        let (status, body) = client.post("/predict", &features.to_string()).unwrap();
+        assert_eq!(status, 200, "{body}");
+        let v = JsonValue::parse(&body).unwrap();
+        let row: Vec<f64> = (0..names.len()).map(|i| i as f64).collect();
+        assert_eq!(
+            v.field("rate").unwrap().as_f64().unwrap().to_bits(),
+            offline.predict_row(&row).to_bits(),
+            "served != offline"
+        );
+
+        let (status, body) = client.get("/metrics").unwrap();
+        assert_eq!(status, 200);
+        let v = JsonValue::parse(&body).unwrap();
+        assert!(v.field("predictions").unwrap().as_usize().unwrap() >= 1);
+        let eps = v.field("endpoints").unwrap();
+        assert_eq!(eps.field("predict").unwrap().as_usize().unwrap(), 1);
+        assert_eq!(eps.field("healthz").unwrap().as_usize().unwrap(), 1);
+        assert!(eps.field("metrics").unwrap().as_usize().unwrap() >= 1);
+        assert!(v.field("uptime_s").unwrap().as_f64().unwrap() >= 0.0);
+        assert!(v.field("build").unwrap().field("version").is_ok());
+        server.shutdown();
+    }
+
+    #[test]
+    fn explain_matches_predict_bitwise_and_alerts_respond() {
+        let (server, offline) = start_test_server("explain-route");
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let names = server.registry().schema().names().to_vec();
+        let features = JsonValue::Obj(
+            names
+                .iter()
+                .enumerate()
+                .map(|(i, n)| (n.clone(), JsonValue::Num((i % 7) as f64 + 0.5)))
+                .collect(),
+        );
+        let (status, predict_body) = client.post("/predict", &features.to_string()).unwrap();
+        assert_eq!(status, 200, "{predict_body}");
+        let rate =
+            JsonValue::parse(&predict_body).unwrap().field("rate").unwrap().as_f64().unwrap();
+
+        let (status, body) = client.post("/explain", &features.to_string()).unwrap();
+        assert_eq!(status, 200, "{body}");
+        let v = JsonValue::parse(&body).unwrap();
+        let prediction = v.field("prediction").unwrap().as_f64().unwrap();
+        assert_eq!(prediction.to_bits(), rate.to_bits(), "explain/predict must agree");
+        let bias = v.field("bias").unwrap().as_f64().unwrap();
+        let contribs = v.field("contributions").unwrap().as_f64_vec().unwrap();
+        let fold = contribs.iter().fold(bias, |a, &c| a + c);
+        assert_eq!(fold.to_bits(), prediction.to_bits(), "fold must hit the prediction");
+        let row: Vec<f64> = (0..names.len()).map(|i| (i % 7) as f64 + 0.5).collect();
+        assert_eq!(prediction.to_bits(), offline.predict_row(&row).to_bits());
+        assert_eq!(v.field("top").unwrap().as_arr().unwrap().len(), 5.min(contribs.len()));
+
+        let (status, body) = client.get("/alerts").unwrap();
+        assert_eq!(status, 200);
+        let v = JsonValue::parse(&body).unwrap();
+        assert!(v.field("alerts").unwrap().as_arr().is_ok(), "{body}");
+
+        let (status, body) = client.get("/metrics.prom").unwrap();
+        assert_eq!(status, 200);
+        assert!(body.contains("# TYPE serve_requests counter"), "{body}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn bad_requests_are_client_errors_not_crashes() {
+        let (server, _) = start_test_server("bad-requests");
+        let mut c = HttpClient::connect(server.addr()).unwrap();
+        for (body, expect_fragment) in [
+            ("not json", "invalid"),
+            ("[1,2,3]", "object"),
+            ("{\"NotAFeature\": 1}", "unknown feature"),
+            ("{\"Ksout\": \"fast\"}", "must be a number"),
+            ("{\"Ksout\": 1e999}", "not finite"),
+        ] {
+            let (status, resp) = c.post("/predict", body).unwrap();
+            assert_eq!(status, 400, "{body} -> {resp}");
+            assert!(resp.contains(expect_fragment), "{body} -> {resp}");
+        }
+        let (status, _) = c.get("/nope").unwrap();
+        assert_eq!(status, 404);
+        server.shutdown();
+    }
+
+    #[test]
+    fn protocol_errors_are_counted_as_answered_requests() {
+        let (server, _) = start_test_server("protocol-errors");
+        // A malformed request line → 400 written, connection closed, and
+        // the metrics must show requests == errors + ok, never
+        // errors > requests (the old double-count family of bugs).
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        raw.write_all(b"NONSENSE\r\n\r\n").unwrap();
+        let mut resp = String::new();
+        raw.read_to_string(&mut resp).unwrap();
+        assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
+
+        let mut c = HttpClient::connect(server.addr()).unwrap();
+        let (_, body) = c.get("/metrics").unwrap();
+        let m = JsonValue::parse(&body).unwrap();
+        let requests = m.field("requests").unwrap().as_usize().unwrap();
+        let errors = m.field("errors").unwrap().as_usize().unwrap();
+        let shed = m.field("shed").unwrap().as_usize().unwrap();
+        assert!(errors >= 1, "protocol 400 must be counted: {body}");
+        assert!(errors + shed <= requests, "error rate exceeds request rate: {body}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_endpoint_stops_the_server() {
+        let (server, _) = start_test_server("shutdown-route");
+        let mut c = HttpClient::connect(server.addr()).unwrap();
+        let (status, _) = c.post("/shutdown", "").unwrap();
+        assert_eq!(status, 200);
+        assert!(server.stopping());
+        server.shutdown();
+        // Connections after shutdown fail (listener gone).
+        assert!(
+            HttpClient::connect(server.addr()).is_err() || {
+                // The OS may accept briefly; a request must then fail.
+                let mut c2 = HttpClient::connect(server.addr()).unwrap();
+                c2.get("/healthz").is_err()
+            }
+        );
+    }
 }

@@ -8,7 +8,7 @@
 //!
 //! The subsystem is deliberately built on `std::net` alone — no async
 //! runtime, no HTTP framework — consistent with the workspace's
-//! vendored-dependency policy. Four layers:
+//! vendored-dependency policy. The layers:
 //!
 //! * [`registry`] — versioned model artifacts on disk, validated against
 //!   the serving feature schema, atomically hot-swappable while requests
@@ -16,14 +16,14 @@
 //! * [`batcher`] — a bounded submission queue that coalesces concurrent
 //!   single predictions into batched `predict` calls, and sheds load
 //!   explicitly when full;
-//! * [`server`] — a hand-rolled HTTP/1.1 front end (`TcpListener` +
-//!   fixed worker pool, keep-alive, graceful shutdown) exposing
-//!   `POST /predict`, `GET /healthz`, `GET /metrics`, `POST /reload`,
-//!   and `POST /shutdown`;
-//! * [`eventloop`] — the same HTTP surface on a nonblocking readiness
-//!   event loop (`poll(2)` via [`shim`]): a fixed number of poller
-//!   shards multiplex all connections, so idle keep-alive clients cost
-//!   bytes, not threads. Selected at runtime via [`Frontend`];
+//! * [`http`] — a hand-rolled incremental HTTP/1.1 request parser
+//!   (keep-alive, pipelining, strict framing and size limits);
+//! * [`eventloop`] — the front end, [`AnyServer`]: a nonblocking
+//!   readiness event loop (`poll(2)` via [`shim`]) whose fixed number of
+//!   poller shards multiplex all connections, so idle keep-alive clients
+//!   cost bytes, not threads. It exposes `POST /predict`,
+//!   `POST /explain`, `GET /healthz`, `GET /metrics`, `POST /reload`,
+//!   and `POST /shutdown`, with graceful shutdown;
 //! * [`loadgen`] — closed- and open-loop load generation over real
 //!   sockets, reporting throughput and latency percentiles.
 //!
@@ -42,14 +42,12 @@ pub mod metrics;
 pub mod registry;
 mod routes;
 mod rowscan;
-pub mod server;
 pub mod shim;
 
 pub use batcher::{BatchConfig, Batcher, Explanation, Prediction, SubmitError};
 pub use client::HttpClient;
-pub use eventloop::{AnyServer, EventLoopServer};
-pub use http::{RequestParser, DEFAULT_REQUEST_DEADLINE, IDLE_TICK};
+pub use eventloop::{AnyServer, Frontend, ServeConfig};
+pub use http::{RequestParser, DEFAULT_REQUEST_DEADLINE};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenMode, LoadgenReport};
 pub use metrics::ServerMetrics;
 pub use registry::{LoadedModel, ModelRegistry, RegistryError, ServeSchema};
-pub use server::{Frontend, ServeConfig, Server};

@@ -381,6 +381,8 @@ mod proptests {
             word,
             Just(String::new()),
             Just("K\\u0073out".to_string()),
+            Just("K\\ud834\\udd1eout".to_string()),
+            Just("K\\u+073out".to_string()),
             Just("Ks\\nout".to_string()),
             Just("Ksøut".to_string()),
         ]

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use wdt_model::{FitConfig, FittedModel, ModelKind};
-use wdt_serve::{BatchConfig, EventLoopServer, ModelRegistry, ServeConfig, ServeSchema};
+use wdt_serve::{AnyServer, BatchConfig, Frontend, ModelRegistry, ServeConfig, ServeSchema};
 use wdt_types::JsonValue;
 
 /// Counts heap acquisitions (alloc + realloc) process-wide while armed.
@@ -125,7 +125,6 @@ fn steady_state_allocs(path: &str, dirname: &str) -> u64 {
     let schema_body = predict_body(registry.schema());
     let cfg = ServeConfig {
         port: 0,
-        workers: 1,
         acceptors: 1,
         request_deadline: Duration::from_secs(5),
         batch: BatchConfig {
@@ -136,7 +135,7 @@ fn steady_state_allocs(path: &str, dirname: &str) -> u64 {
         },
         explain_top: 5,
     };
-    let server = EventLoopServer::start(registry, cfg).expect("start");
+    let server = AnyServer::start(registry, cfg, Frontend::EventLoop).expect("start");
 
     // Pre-render the whole pipelined burst once; the armed loop only
     // replays these bytes.

@@ -381,18 +381,26 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| JsonError::new("truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| JsonError::new("invalid \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| JsonError::new("invalid \\u escape"))?;
+                        let mut code = parse_hex4(b, *pos + 1)?;
+                        *pos += 4;
+                        if (0xD800..0xDC00).contains(&code) {
+                            // A high surrogate is only the first half of a
+                            // non-BMP scalar; the low half must follow as
+                            // a second escape (`"\ud834\udd1e"` is "𝄞").
+                            if b.get(*pos + 1..*pos + 3) != Some(b"\\u".as_slice()) {
+                                return Err(JsonError::new("invalid \\u codepoint"));
+                            }
+                            let low = parse_hex4(b, *pos + 3)?;
+                            if !(0xDC00..0xE000).contains(&low) {
+                                return Err(JsonError::new("invalid \\u codepoint"));
+                            }
+                            code = 0x1_0000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                            *pos += 6;
+                        }
                         out.push(
                             char::from_u32(code)
                                 .ok_or_else(|| JsonError::new("invalid \\u codepoint"))?,
                         );
-                        *pos += 4;
                     }
                     _ => return Err(JsonError::new("invalid escape")),
                 }
@@ -415,6 +423,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
             }
         }
     }
+}
+
+/// The four hex digits of a `\\u` escape starting at `b[at]`. Exactly
+/// four ASCII hex digits: `u32::from_str_radix` would also take a sign.
+fn parse_hex4(b: &[u8], at: usize) -> Result<u32, JsonError> {
+    let digits = b.get(at..at + 4).ok_or_else(|| JsonError::new("truncated \\u escape"))?;
+    digits.iter().try_fold(0u32, |code, &d| {
+        let v = char::from(d).to_digit(16).ok_or_else(|| JsonError::new("invalid \\u escape"))?;
+        Ok(code << 4 | v)
+    })
 }
 
 #[cfg(test)]
@@ -475,6 +493,18 @@ mod tests {
     fn unicode_and_escapes_parse() {
         let v = JsonValue::parse(r#""café – ☃""#).unwrap();
         assert_eq!(v.as_str().unwrap(), "café – ☃");
+        // A non-BMP scalar is spelled as a UTF-16 surrogate pair of
+        // escapes — the way Python's `json.dumps` writes every one.
+        for (text, want) in [
+            ("\"\\u0041\\u00e9\"", "Aé"),
+            ("\"\\ud834\\udd1e\"", "𝄞"),
+            ("\"\\uD83D\\uDE00 ok\"", "😀 ok"),
+            ("\"a\\ud800\\udc00b\"", "a\u{10000}b"),
+            ("\"\\udbff\\udfff\"", "\u{10ffff}"),
+        ] {
+            let v = JsonValue::parse(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(v.as_str().unwrap(), want, "{text}");
+        }
     }
 
     /// Untrusted-input hardening: every malformed shape a client can send
@@ -501,6 +531,15 @@ mod tests {
             "\"truncated escape \\",
             "\"truncated unicode \\u00",
             "\"surrogate \\ud834\"",
+            "\"lone low surrogate \\udd1e\"",
+            "\"reversed pair \\udd1e\\ud834\"",
+            "\"high then non-low \\ud834\\u0041\"",
+            "\"high then high \\ud834\\ud834\"",
+            "\"high then other escape \\ud834\\n\"",
+            "\"signed hex \\u+041\"",
+            "\"signed hex \\u-041\"",
+            "\"spaced hex \\u 041\"",
+            "\"signed low half \\ud834\\u+d1e\"",
             "nul",
             "tru",
             "falsy",
@@ -640,8 +679,25 @@ mod proptests {
                     format!("\\u{c:04x}")
                 }
             }),
-            (0..6usize).prop_map(|i| {
-                ["\\q", "\\é", "\\u12G4", "\\u+041", "\\u00é", "\\ud800"][i].to_string()
+            // Surrogate pairs: every high/low combination is one scalar.
+            (0xD800u32..0xDC00, 0xDC00u32..0xE000)
+                .prop_map(|(hi, lo)| format!("\\u{hi:04x}\\u{lo:04X}")),
+            (0..12usize).prop_map(|i| {
+                [
+                    "\\q",
+                    "\\é",
+                    "\\u12G4",
+                    "\\u+041",
+                    "\\u-041",
+                    "\\u 041",
+                    "\\u00é",
+                    "\\ud800",
+                    "\\udc00\\ud800",
+                    "\\ud834\\u0041",
+                    "\\ud834\\n",
+                    "\\ud834\\u+d1e",
+                ][i]
+                    .to_string()
             }),
         ]
         .boxed()
@@ -687,20 +743,39 @@ mod proptests {
                     Some('r') => out.push('\r'),
                     Some('t') => out.push('\t'),
                     Some('u') => {
-                        if i + 6 > text.len() {
-                            return Err("truncated \\u escape".into());
-                        }
-                        let hex = text.get(i + 2..i + 6).ok_or("invalid \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape")?;
-                        out.push(char::from_u32(code).ok_or("invalid \\u codepoint")?);
+                        let mut code = reference_hex4(text, i + 2)?;
                         // The four accepted bytes are ASCII: four chars.
                         chars.nth(3);
+                        if (0xD800..0xDC00).contains(&code) {
+                            if !text[i + 6..].starts_with("\\u") {
+                                return Err("invalid \\u codepoint".into());
+                            }
+                            let low = reference_hex4(text, i + 8)?;
+                            if !(0xDC00..0xE000).contains(&low) {
+                                return Err("invalid \\u codepoint".into());
+                            }
+                            code = 0x1_0000 + (code - 0xD800) * 0x400 + (low - 0xDC00);
+                            chars.nth(5);
+                        }
+                        out.push(char::from_u32(code).ok_or("invalid \\u codepoint")?);
                     }
                     _ => return Err("invalid escape".into()),
                 },
                 c => out.push(c),
             }
+        }
+    }
+
+    /// Reference for one `\\u` escape's digits at byte `at` of `text`.
+    fn reference_hex4(text: &str, at: usize) -> Result<u32, String> {
+        if at + 4 > text.len() {
+            return Err("truncated \\u escape".into());
+        }
+        match text.get(at..at + 4) {
+            Some(hex) if hex.bytes().all(|d| d.is_ascii_hexdigit()) => {
+                Ok(u32::from_str_radix(hex, 16).expect("four hex digits"))
+            }
+            _ => Err("invalid \\u escape".into()),
         }
     }
 

@@ -6,13 +6,10 @@
 //! `FittedModel::predict` on the same rows — under concurrent load, and
 //! across an atomic hot-swap that must not fail a single request.
 //!
-//! Every scenario runs against **both** HTTP front ends (the blocking
-//! worker pool and the nonblocking event loop): identical traffic,
-//! identical expected answers. The slow-writer scenarios pin down the
-//! timeout semantics the front ends must share — a client that trickles
-//! bytes across many 200 ms idle ticks but stays inside the request
-//! deadline is served normally, while one that stalls past the deadline
-//! is answered 408 and disconnected.
+//! The slow-writer scenarios pin down the timeout semantics — a client
+//! that trickles bytes across many 200 ms poll ticks but stays inside
+//! the request deadline is served normally, while one that stalls past
+//! the deadline is answered 408 and disconnected.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -84,7 +81,13 @@ fn quick_registry(name: &str) -> (Arc<ModelRegistry>, wdt_model::FittedModel) {
     (Arc::new(ModelRegistry::open(dir, schema).expect("open")), offline)
 }
 
-fn hot_swap_e2e(frontend: Frontend, name: &str) {
+/// Start the event-loop server on `registry` with `cfg`.
+fn start(registry: Arc<ModelRegistry>, cfg: ServeConfig) -> AnyServer {
+    AnyServer::start(registry, cfg, Frontend::EventLoop).expect("start")
+}
+
+#[test]
+fn concurrent_serving_is_bitwise_faithful_across_hot_swap_event_loop() {
     let data = campaign();
     assert!(data.x.len() >= 100, "campaign too small: {}", data.x.len());
     let train = wdt_features::Dataset::new(data.names.clone(), data.x.clone(), data.y.clone());
@@ -100,13 +103,13 @@ fn hot_swap_e2e(frontend: Frontend, name: &str) {
     let offline1 = FittedModel::from_json(&v1.to_json()).expect("reload v1");
     let offline2 = FittedModel::from_json(&v2.to_json()).expect("reload v2");
 
-    let dir = std::env::temp_dir().join("wdt-serve-e2e").join(name);
+    let dir = std::env::temp_dir().join("wdt-serve-e2e").join("hot-swap-eventloop");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("model dir");
     std::fs::write(dir.join("v0001.json"), v1.to_json()).expect("persist v1");
 
     let registry = Arc::new(ModelRegistry::open(&dir, ServeSchema::prediction()).expect("open"));
-    let server = AnyServer::start(registry, ServeConfig::default(), frontend).expect("start");
+    let server = start(registry, ServeConfig::default());
     let names: Vec<String> = server.registry().schema().names().to_vec();
     let rows: Vec<Vec<f64>> = data.x.iter().take(96).cloned().collect();
 
@@ -207,22 +210,13 @@ fn hot_swap_e2e(frontend: Frontend, name: &str) {
     server.shutdown();
 }
 
-#[test]
-fn concurrent_serving_is_bitwise_faithful_across_hot_swap() {
-    hot_swap_e2e(Frontend::Threaded, "hot-swap-threaded");
-}
-
-#[test]
-fn concurrent_serving_is_bitwise_faithful_across_hot_swap_event_loop() {
-    hot_swap_e2e(Frontend::EventLoop, "hot-swap-eventloop");
-}
-
 /// A client that trickles its request a few bytes at a time, straddling
-/// many idle-timeout ticks, must be served normally: slowness inside the
+/// many poll ticks, must be served normally: slowness inside the
 /// request deadline is not an error.
-fn slow_but_live_writer_is_served(frontend: Frontend, name: &str) {
-    let (registry, offline) = quick_registry(name);
-    let server = AnyServer::start(registry, ServeConfig::default(), frontend).expect("start");
+#[test]
+fn slow_but_live_writer_is_served_event_loop() {
+    let (registry, offline) = quick_registry("slow-live-eventloop");
+    let server = start(registry, ServeConfig::default());
     let names = server.registry().schema().names().to_vec();
     let row: Vec<f64> = (0..names.len()).map(|i| (i % 7) as f64).collect();
     let body = body_for(&names, &row);
@@ -251,23 +245,14 @@ fn slow_but_live_writer_is_served(frontend: Frontend, name: &str) {
     server.shutdown();
 }
 
-#[test]
-fn slow_but_live_writer_is_served_threaded() {
-    slow_but_live_writer_is_served(Frontend::Threaded, "slow-live-threaded");
-}
-
-#[test]
-fn slow_but_live_writer_is_served_event_loop() {
-    slow_but_live_writer_is_served(Frontend::EventLoop, "slow-live-eventloop");
-}
-
 /// A client that starts a request and then stalls past the request
 /// deadline is answered 408 and disconnected — and the stall must not
-/// take a worker hostage: a concurrent healthy client stays served.
-fn stalled_writer_gets_408(frontend: Frontend, name: &str) {
-    let (registry, _) = quick_registry(name);
+/// hold up its poller shard: a concurrent healthy client stays served.
+#[test]
+fn stalled_writer_gets_408_event_loop() {
+    let (registry, _) = quick_registry("stalled-eventloop");
     let cfg = ServeConfig { request_deadline: Duration::from_millis(600), ..Default::default() };
-    let server = AnyServer::start(registry, cfg, frontend).expect("start");
+    let server = start(registry, cfg);
 
     let mut stalled = TcpStream::connect(server.addr()).expect("connect");
     stalled.write_all(b"GET /healthz HTTP/1.1\r\nConn").expect("partial header");
@@ -296,23 +281,14 @@ fn stalled_writer_gets_408(frontend: Frontend, name: &str) {
     server.shutdown();
 }
 
-#[test]
-fn stalled_writer_gets_408_threaded() {
-    stalled_writer_gets_408(Frontend::Threaded, "stalled-threaded");
-}
-
-#[test]
-fn stalled_writer_gets_408_event_loop() {
-    stalled_writer_gets_408(Frontend::EventLoop, "stalled-eventloop");
-}
-
 /// Pipelined bursts are answered strictly in order with bitwise parity:
 /// one `send_many` burst per connection exercises the coalesced-write
 /// path (the event loop renders every ready response into one output
 /// buffer and drains it with a single `writev` per wakeup).
-fn pipelined_burst_parity(frontend: Frontend, name: &str) {
-    let (registry, offline) = quick_registry(name);
-    let server = AnyServer::start(registry, ServeConfig::default(), frontend).expect("start");
+#[test]
+fn pipelined_burst_parity_event_loop() {
+    let (registry, offline) = quick_registry("pipeline-eventloop");
+    let server = start(registry, ServeConfig::default());
     let names = server.registry().schema().names().to_vec();
     let rows: Vec<Vec<f64>> =
         (0..24).map(|i| (0..names.len()).map(|j| ((i * 3 + j) % 13) as f64).collect()).collect();
@@ -335,26 +311,17 @@ fn pipelined_burst_parity(frontend: Frontend, name: &str) {
     server.shutdown();
 }
 
-#[test]
-fn pipelined_burst_parity_threaded() {
-    pipelined_burst_parity(Frontend::Threaded, "pipeline-threaded");
-}
-
-#[test]
-fn pipelined_burst_parity_event_loop() {
-    pipelined_burst_parity(Frontend::EventLoop, "pipeline-eventloop");
-}
-
 /// `/explain` is the explanation plane's wire contract: per-feature
 /// attributions whose fold `bias + Σ contributions` reconstructs the
 /// served prediction **bitwise**, agreeing with `/predict` on the same
 /// row and with the offline model attribution-for-attribution — and the
 /// contract survives a hot-swap. `/alerts` and `/metrics.prom` answer on
 /// the same connection.
-fn explain_parity_and_alerts(frontend: Frontend, name: &str) {
-    let (registry, offline) = quick_registry(name);
+#[test]
+fn explain_parity_and_alerts_event_loop() {
+    let (registry, offline) = quick_registry("explain-eventloop");
     let dir = registry.dir().to_path_buf();
-    let server = AnyServer::start(registry, ServeConfig::default(), frontend).expect("start");
+    let server = start(registry, ServeConfig::default());
     let names = server.registry().schema().names().to_vec();
     let mut client = HttpClient::connect(server.addr()).expect("connect");
 
@@ -418,16 +385,6 @@ fn explain_parity_and_alerts(frontend: Frontend, name: &str) {
     server.shutdown();
 }
 
-#[test]
-fn explain_parity_and_alerts_threaded() {
-    explain_parity_and_alerts(Frontend::Threaded, "explain-threaded");
-}
-
-#[test]
-fn explain_parity_and_alerts_event_loop() {
-    explain_parity_and_alerts(Frontend::EventLoop, "explain-eventloop");
-}
-
 /// Sharded accept: with `SO_REUSEPORT` available (Linux) every acceptor
 /// shard owns its own listener on the shared port, and traffic over many
 /// fresh connections — which the kernel hashes across the shard
@@ -436,7 +393,7 @@ fn explain_parity_and_alerts_event_loop() {
 fn reuseport_sharded_accept_serves_across_shards() {
     let (registry, offline) = quick_registry("reuseport-smoke");
     let cfg = ServeConfig { acceptors: 4, ..Default::default() };
-    let server = wdt_serve::EventLoopServer::start(registry, cfg).expect("start");
+    let server = start(registry, cfg);
     #[cfg(target_os = "linux")]
     assert!(server.reuseport(), "Linux must get per-shard SO_REUSEPORT listeners");
     let names = server.registry().schema().names().to_vec();
